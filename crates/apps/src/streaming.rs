@@ -29,10 +29,11 @@
 //! bit for bit. Correctness is validated against a full
 //! [`blocked_floyd_warshall`] recompute of the final graph.
 //!
-//! Two algebras are wired into the registry ([`AppKind::StreamingApsp`]
-//! and [`AppKind::StreamingBfs`]): min-plus distance maintenance and
-//! or-and reachability maintenance — the same two ends of the algebra
-//! spectrum the static APSP/GTC apps cover.
+//! Two algebras are wired into the registry
+//! ([`AppKind::StreamingApsp`](crate::AppKind::StreamingApsp) and
+//! [`AppKind::StreamingBfs`](crate::AppKind::StreamingBfs)): min-plus
+//! distance maintenance and or-and reachability maintenance — the same
+//! two ends of the algebra spectrum the static APSP/GTC apps cover.
 
 use simd2::{Backend, MatrixRef, OperandRepr, Plan, PlanBuilder};
 use simd2_matrix::{gen, Matrix};
@@ -266,7 +267,7 @@ pub fn simd2<B: Backend>(backend: &mut B, w: &StreamingWorkload) -> (Matrix, Str
     (x, stats)
 }
 
-/// Like [`simd2`], but records the run's exact MMO sequence — sparse
+/// Like [`simd2()`], but records the run's exact MMO sequence — sparse
 /// declarations included — as a replayable [`Plan`].
 ///
 /// # Panics
@@ -287,6 +288,9 @@ mod tests {
     use simd2::backend::{ReferenceBackend, TiledBackend};
     use simd2::{Parallelism, PassPipeline, PlanExecutor};
     use simd2_sparse::SparseTiledBackend;
+
+    /// A named replay of a recorded plan to its final output.
+    type PlanRun = (&'static str, Box<dyn FnMut(&Plan) -> Matrix>);
 
     fn assert_bits(tag: &str, got: &Matrix, want: &Matrix) {
         assert_eq!(got.shape(), want.shape(), "{tag}");
@@ -347,7 +351,7 @@ mod tests {
 
         // The recorded plan replays bit-identically on every backend
         // and dispatch shape — including the real CSR kernels.
-        let mut targets: Vec<(&str, Box<dyn FnMut(&Plan) -> Matrix>)> = vec![
+        let mut targets: Vec<PlanRun> = vec![
             (
                 "tiled sequential",
                 Box::new(|p: &Plan| {

@@ -32,6 +32,7 @@
 //! `--iters` caps the count deterministically (0 = no cap). Any
 //! violation prints the failing iteration's parameters and exits 1.
 
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 use simd2::backend::{Backend, OpCount, Parallelism, TiledBackend};
@@ -462,7 +463,7 @@ fn soak_faults(p: &Params, totals: &mut Totals) -> Result<(), Violation> {
                     let drift = (sum(&d) - sum(&clean)).abs();
                     let tol = 2.0 * checksum_tolerance(p, &a, &b, &c);
                     soak_check!(
-                        drift <= tol,
+                        drift.partial_cmp(&tol).is_some_and(Ordering::is_le),
                         "undetected strike exceeded the checksum guarantee: \
                          |sum(d) - sum(clean)| = {drift} > {tol}"
                     );

@@ -82,7 +82,7 @@ impl std::ops::AddAssign for OpCount {
 /// run parallel too: their injectors address sites by tile *coordinate*,
 /// not visit order, so the same plan strikes the same tiles under any
 /// worker count and per-worker logs merge back deterministically; see
-/// [`MmoUnit::shard`](simd2_fault::MmoUnit::shard).
+/// [`MmoUnit::shard`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Single-threaded reference execution order.
@@ -879,7 +879,7 @@ impl<U: MmoUnit + Send> Backend for TiledBackend<U> {
     }
 
     /// Pre-allocates zero-filled output slabs for a fused RAW chain, up
-    /// to [`SLAB_POOL_CAP`] pooled slabs total. Subsequent MMOs with a
+    /// to `SLAB_POOL_CAP` pooled slabs total. Subsequent MMOs with a
     /// matching output size take a pooled slab instead of allocating;
     /// outputs, counters and telemetry are unchanged.
     fn prepare_chain(&mut self, shape: (usize, usize), steps: usize) {

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algebra;
 pub mod api;
 pub mod backend;
 pub mod error;
@@ -42,7 +41,6 @@ pub mod program;
 pub mod repr;
 pub mod resilient;
 pub mod solve;
-pub mod typed;
 pub mod validate;
 
 pub use backend::{

@@ -28,7 +28,7 @@
 //!   rewrite: input slots whose measured
 //!   [`density`](crate::repr::density) makes every reader step cheaper
 //!   under the sparse cost model
-//!   ([`predicted_sparse_mmo_cost`](simd2_gpu::cost::predicted_sparse_mmo_cost))
+//!   ([`predicted_sparse_mmo_cost`])
 //!   are re-declared [`Csr`](OperandRepr::Csr) (or
 //!   [`Structured24`](OperandRepr::Structured24) when 2:4-compliant).
 //!   Representation is a schedule hint, never a semantics change, so
@@ -38,7 +38,7 @@
 //! * [`WaveSchedulerPass`] — orders the mutually independent steps of
 //!   each dependency wave longest-processing-time-first by the
 //!   `simd2-gpu` analytic step cost
-//!   ([`predicted_mmo_cost`](simd2_gpu::cost::predicted_mmo_cost); the
+//!   ([`predicted_mmo_cost`]; the
 //!   sparse variant for steps with sparse-declared operands), so
 //!   batched dispatch starts its most expensive steps first instead of
 //!   in record order. Steps never move across a RAW edge: only the

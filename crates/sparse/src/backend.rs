@@ -3,40 +3,50 @@
 //! [`SparseTiledBackend`] implements the core [`Backend`] trait, so any
 //! algorithm written against the trait — the closure solvers, the plan
 //! recorder/executor, the serving layer — runs on sparse operands
-//! unchanged. Representation declarations arrive through
-//! [`Backend::mmo_ref`]: an operand declared [`OperandRepr::Csr`] is
-//! walked through a Gustavson-style compressed kernel, one declared
-//! [`OperandRepr::Structured24`] takes the 2:4 sparse-pipe fast path
-//! ([`Compressed24`]), and dense declarations fall back to a scalar
-//! kernel that reproduces [`simd2_matrix::reference::mmo`] bit for bit.
+//! unchanged. Every operation runs through **one Gustavson row kernel**
+//! over a *row view* of each operand; representation declarations,
+//! arriving through [`Backend::mmo_ref`], only choose which terms the
+//! views yield. A dense operand's view yields every entry, one declared
+//! [`OperandRepr::Csr`] its stored entries, and one declared
+//! [`OperandRepr::Structured24`] the occupied slots of its
+//! [`Compressed24`] image — the walk of the 2:4 sparse pipe. With both
+//! operands dense the kernel is the IKJ form of
+//! [`simd2_matrix::reference::mmo`] and reproduces it bit for bit. With
+//! reduced precision on, each operand's values are quantized to fp16
+//! once, while its view is built.
 //!
 //! **The bit-identity contract.** A representation declaration is a
-//! schedule hint, never a semantic change: every compressed kernel skips
-//! only terms that combine through the algebra's annihilator
-//! ([`OpKind::no_edge_f32`]), and such terms leave the reduction
-//! bit-identical for every extension op — except max-mul, where a skipped
-//! `0.0` product can still lift a `-∞`-seeded accumulator; those rows
-//! fold a single `⊕ 0.0` correction at the end, exactly reproducing the
-//! dense fold. Outputs are therefore bit-identical between the dense
-//! datapath and every compressed kernel, at any worker count.
+//! schedule hint, never a semantic change: a view skips only terms that
+//! combine through the algebra's annihilator ([`OpKind::no_edge_f32`]),
+//! and such terms leave the reduction bit-identical for every extension
+//! op — except max-mul, where a skipped `0.0` product can still lift a
+//! `-∞`-seeded accumulator. The kernel counts the terms each output
+//! element received; a max-mul element short of `k` terms folds a
+//! single `⊕ 0.0` correction at the end, exactly reproducing the dense
+//! fold. Every element folds its terms in ascending `k`, so outputs are
+//! bit-identical between the dense datapath and every declaration, at
+//! any worker count.
 //!
-//! **Sharded CSR panels.** Row panels of the output are disjoint slabs
+//! **Sharded panels.** Row panels of the output are disjoint slabs
 //! handed to a [`std::thread::scope`] worker pool via `split_at_mut`;
 //! each worker folds its rows in the reference order and returns its own
-//! [`SparseOpCount`], merged in panel order. A panicking worker is
-//! contained and surfaces as [`BackendError::WorkerPanic`] after the
-//! remaining workers drain.
+//! term counts, merged in panel order. A panicking worker is contained
+//! and surfaces as [`BackendError::WorkerPanic`] after the remaining
+//! workers drain.
 //!
 //! The Fig 13 pruning experiment (`A` forced through 2:4 magnitude
 //! pruning, losses measured honestly) lives on as
-//! [`SparseTiledBackend::mmo_pruned`] and [`pruning_quality`].
+//! [`SparseTiledBackend::mmo_pruned`] and [`pruning_quality`]; its tiles
+//! run on a held sequential [`TiledBackend`].
 
+use std::borrow::Cow;
 use std::ops::Range;
 
-use simd2::{Backend, BackendError, MatrixRef, MmoArgs, OpCount, OperandRepr, Parallelism};
+use simd2::{
+    Backend, BackendError, MatrixRef, MmoArgs, OpCount, OperandRepr, Parallelism, TiledBackend,
+};
 use simd2_matrix::{reference, Matrix, ShapeError};
-use simd2_mxu::Simd2Unit;
-use simd2_semiring::precision::quantize_f16;
+use simd2_semiring::precision::{quantize_f16_slice, quantized_f16};
 use simd2_semiring::OpKind;
 
 use crate::structured::{prune_2_4, Compressed24};
@@ -52,13 +62,12 @@ pub struct SparseOpCount {
     pub tile_mmos: u64,
     /// Operand values discarded by 2:4 pruning across all operations.
     pub pruned_values: u64,
-    /// Whole-matrix operations that ran through a compressed kernel
-    /// (CSR Gustavson or the 2:4 fast path) rather than the dense
-    /// datapath.
+    /// Whole-matrix operations with at least one sparse-declared operand
+    /// (CSR or 2:4) rather than two dense ones.
     pub sparse_mmos: u64,
-    /// Semiring `⊕(⊗)` terms actually folded by the scalar kernels.
+    /// Semiring `⊕(⊗)` terms actually folded by the row kernel.
     pub fma_terms: u64,
-    /// Annihilator terms skipped by compressed kernels relative to the
+    /// Annihilator terms skipped by sparse row views relative to the
     /// dense `m·n·k` term count.
     pub skipped_terms: u64,
 }
@@ -74,10 +83,10 @@ impl std::ops::AddAssign for SparseOpCount {
     }
 }
 
-/// A representation-aware whole-matrix engine: dense scalar execution
-/// bit-identical to the reference oracle, Gustavson CSR kernels and a
-/// 2:4 compressed fast path behind [`Backend::mmo_ref`], and row-panel
-/// sharding across a scoped worker pool.
+/// A representation-aware whole-matrix engine: one Gustavson row kernel
+/// over dense, CSR and 2:4 row views behind [`Backend::mmo_ref`],
+/// bit-identical to the reference oracle, with row-panel sharding across
+/// a scoped worker pool.
 ///
 /// # Example
 ///
@@ -104,13 +113,14 @@ impl std::ops::AddAssign for SparseOpCount {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SparseTiledBackend {
-    unit: Simd2Unit,
+    /// Sequential fp16-input tile datapath of [`Self::mmo_pruned`].
+    tiled: TiledBackend,
     reduced: bool,
     parallelism: Parallelism,
     count: SparseOpCount,
 }
 
-/// One worker's contribution: scalar-kernel term counters, merged back
+/// One worker's contribution: row-kernel term counters, merged back
 /// into [`SparseOpCount`] in panel order.
 #[derive(Clone, Copy, Debug, Default)]
 struct TermCount {
@@ -153,8 +163,201 @@ fn row_panels(rows: usize, workers: usize) -> Vec<Range<usize>> {
     panels
 }
 
+/// Runs `kernel` over row panels of an `m×n` output, sequentially or
+/// across a scoped worker pool, merging per-worker term counters in
+/// panel order. Bit-identity across worker counts holds because the
+/// panels are disjoint and each row's fold order never changes.
+fn run_panels<F>(
+    m: usize,
+    n: usize,
+    workers: usize,
+    kernel: F,
+) -> Result<(Matrix, TermCount), BackendError>
+where
+    F: Fn(Range<usize>, &mut [f32]) -> TermCount + Sync,
+{
+    let mut d = Matrix::zeros(m, n);
+    let panels = row_panels(m, workers);
+    if panels.len() <= 1 {
+        let total = kernel(0..m, d.as_mut_slice());
+        return Ok((d, total));
+    }
+    let mut slabs: Vec<(Range<usize>, &mut [f32])> = Vec::with_capacity(panels.len());
+    let mut rest = d.as_mut_slice();
+    for range in panels {
+        let (head, tail) = rest.split_at_mut((range.end - range.start) * n);
+        slabs.push((range, head));
+        rest = tail;
+    }
+    let kernel = &kernel;
+    let joined: Vec<Result<TermCount, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slabs
+            .into_iter()
+            .map(|(range, slab)| scope.spawn(move || kernel(range, slab)))
+            .collect();
+        // Join every worker (draining the pool even past a panic)
+        // before reporting, so a contained panic never leaks threads.
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .map_err(|payload| panic_payload_message(payload.as_ref()))
+            })
+            .collect()
+    });
+    let mut total = TermCount::default();
+    for (panel, outcome) in joined.into_iter().enumerate() {
+        match outcome {
+            Ok(count) => total += count,
+            Err(payload) => return Err(BackendError::WorkerPanic { panel, payload }),
+        }
+    }
+    Ok((d, total))
+}
+
+/// One operand seen row by row: each row yields its `(index, value)`
+/// entries in ascending index order, with values already at load
+/// precision.
+enum RowView<'a> {
+    /// Every entry of a row-major matrix with `cols` columns.
+    Dense { cols: usize, values: Cow<'a, [f32]> },
+    /// Only the stored entries, in CSR layout.
+    Stored {
+        row_ptr: Vec<usize>,
+        index: Vec<u32>,
+        values: Vec<f32>,
+    },
+}
+
+/// One row of a [`RowView`].
+#[derive(Clone, Copy)]
+enum Row<'r> {
+    Dense(&'r [f32]),
+    Stored(&'r [u32], &'r [f32]),
+}
+
+impl<'a> RowView<'a> {
+    /// Every entry of `m`, quantized to fp16 when `reduced`.
+    fn dense(m: &'a Matrix, reduced: bool) -> Self {
+        let values = if reduced {
+            Cow::Owned(quantized_f16(m.as_slice()))
+        } else {
+            Cow::Borrowed(m.as_slice())
+        };
+        RowView::Dense {
+            cols: m.cols(),
+            values,
+        }
+    }
+
+    /// The stored entries of a sparse-declared operand: those other than
+    /// its sentinel. For a 2:4 operand these are exactly the occupied
+    /// slots of its [`Compressed24`] image, in the pipe's walk order.
+    /// The index set comes from the unquantized operand; only the kept
+    /// values are quantized.
+    fn stored(m: MatrixRef<'_>, reduced: bool) -> Self {
+        let zero = m.repr.zero().expect("sparse repr carries a sentinel");
+        let (row_ptr, index, mut values) = Csr::from_dense(m.matrix, zero)
+            .expect("validated non-NaN sentinel")
+            .into_raw();
+        if reduced {
+            quantize_f16_slice(&mut values);
+        }
+        RowView::Stored {
+            row_ptr,
+            index,
+            values,
+        }
+    }
+
+    fn row(&self, r: usize) -> Row<'_> {
+        match self {
+            RowView::Dense { cols, values } => Row::Dense(&values[r * cols..(r + 1) * cols]),
+            RowView::Stored {
+                row_ptr,
+                index,
+                values,
+            } => {
+                let span = row_ptr[r]..row_ptr[r + 1];
+                Row::Stored(&index[span.clone()], &values[span])
+            }
+        }
+    }
+}
+
+impl Row<'_> {
+    /// Calls `f(index, value)` for each entry, in ascending index order.
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(usize, f32)) {
+        match self {
+            Row::Dense(values) => values.iter().enumerate().for_each(|(l, &v)| f(l, v)),
+            Row::Stored(index, values) => index
+                .iter()
+                .zip(values)
+                .for_each(|(&l, &v)| f(l as usize, v)),
+        }
+    }
+}
+
+/// The row kernel: output rows `rows` of `D = C ⊕ (A ⊗ B)` into `out`.
+///
+/// For each row `i` it walks `A`'s entries `(l, a)` in ascending `l` and
+/// sweeps `B`'s row `l` into a dense accumulator row, so every `(i, j)`
+/// folds its terms in ascending `k` — the reference order over the terms
+/// the views yield. It counts the terms each column received: a column
+/// short of `k` terms skipped annihilator products, which are exact
+/// no-ops except under max-mul, where one `⊕ 0.0` reproduces them.
+fn gustavson_rows(
+    op: OpKind,
+    a: &RowView<'_>,
+    b: &RowView<'_>,
+    c: &Matrix,
+    k: usize,
+    rows: Range<usize>,
+    out: &mut [f32],
+) -> TermCount {
+    let n = c.cols();
+    let identity = op.reduce_identity_f32();
+    let mut acc = vec![identity; n];
+    let mut hits = vec![0usize; n];
+    let mut count = TermCount::default();
+    for (local, i) in rows.enumerate() {
+        acc.fill(identity);
+        hits.fill(0);
+        // `B` rows swept whole reach every column.
+        let mut full_sweeps = 0;
+        a.row(i).for_each(|l, av| match b.row(l) {
+            Row::Dense(brow) => {
+                full_sweeps += 1;
+                for (x, &bv) in acc.iter_mut().zip(brow) {
+                    *x = op.fma_f32(*x, av, bv);
+                }
+            }
+            Row::Stored(index, values) => {
+                for (&j, &bv) in index.iter().zip(values) {
+                    let j = j as usize;
+                    acc[j] = op.fma_f32(acc[j], av, bv);
+                    hits[j] += 1;
+                }
+            }
+        });
+        let orow = &mut out[local * n..(local + 1) * n];
+        for (j, (slot, &cv)) in orow.iter_mut().zip(c.row(i)).enumerate() {
+            let terms = full_sweeps + hits[j];
+            let mut v = acc[j];
+            if op == OpKind::MaxMul && terms < k {
+                v = op.reduce_f32(v, 0.0);
+            }
+            *slot = op.reduce_f32(cv, v);
+            count.fma_terms += terms as u64;
+            count.skipped_terms += (k - terms) as u64;
+        }
+    }
+    count
+}
+
 impl SparseTiledBackend {
-    /// Creates the backend: exact (fp32) scalar kernels, sequential
+    /// Creates the backend: exact (fp32) row kernel, sequential
     /// schedule, default fp16-input unit for the pruned-pipe path.
     pub fn new() -> Self {
         Self::default()
@@ -167,10 +370,10 @@ impl SparseTiledBackend {
         self
     }
 
-    /// Quantizes `A`/`B` element loads through fp16 (accumulation stays
-    /// fp32) — the tile pipe's operand precision, applied uniformly to
-    /// the dense and compressed kernels so they stay bit-identical to
-    /// each other.
+    /// Quantizes `A`/`B` values through fp16 (accumulation stays fp32) —
+    /// the tile pipe's operand precision. Each operand is quantized once,
+    /// as its row view is built, so every declaration sees the same
+    /// values and stays bit-identical to the dense datapath.
     pub fn with_reduced_precision(mut self, reduced: bool) -> Self {
         self.reduced = reduced;
         self
@@ -214,283 +417,19 @@ impl SparseTiledBackend {
 
         // Tiled execution on the decompressed operand; the sparse pipe
         // computes the same values in half the cycles.
-        let a_sparse = compressed.decompress();
-        let grid = simd2_matrix::tiling::TileGrid::new(
-            a.rows(),
-            b.cols(),
-            a.cols(),
-            simd2_matrix::ISA_TILE,
-        );
-        let mut d = Matrix::zeros(a.rows(), b.cols());
-        for (ti, tj) in grid.output_coords() {
-            let mut acc =
-                simd2_matrix::tiling::load_c_tile::<{ simd2_matrix::ISA_TILE }>(op, c, ti, tj);
-            for tk in 0..grid.k_tiles {
-                let at = simd2_matrix::tiling::load_a_tile::<{ simd2_matrix::ISA_TILE }>(
-                    op, &a_sparse, ti, tk,
-                );
-                let bt =
-                    simd2_matrix::tiling::load_b_tile::<{ simd2_matrix::ISA_TILE }>(op, b, tk, tj);
-                acc = self.unit.execute(op, &at, &bt, &acc);
-                self.count.tile_mmos += 1;
-            }
-            simd2_matrix::tiling::store_d_tile(&mut d, &acc, ti, tj);
-        }
+        self.tiled.reset_count();
+        let d = self
+            .tiled
+            .mmo(op, &compressed.decompress(), b, c)
+            .expect("shapes were checked above and a sequential schedule cannot panic a worker");
+        self.count.tile_mmos += self.tiled.op_count().tile_mmos;
         self.count.matrix_mmos += 1;
         Ok(d)
     }
 
-    /// fp16 load quantisation when the reduced knob is on.
-    #[inline]
-    fn load(&self, x: f32) -> f32 {
-        if self.reduced {
-            quantize_f16(x)
-        } else {
-            x
-        }
-    }
-
-    /// Runs `kernel` over row panels of an `m×n` output, sequentially or
-    /// across a scoped worker pool, merging per-worker term counters in
-    /// panel order. Bit-identity across worker counts holds because the
-    /// panels are disjoint and each row's fold order never changes.
-    fn run_panels<F>(
-        &self,
-        m: usize,
-        n: usize,
-        workers: usize,
-        kernel: F,
-    ) -> Result<(Matrix, TermCount), BackendError>
-    where
-        F: Fn(Range<usize>, &mut [f32]) -> TermCount + Sync,
-    {
-        let mut d = Matrix::zeros(m, n);
-        let panels = row_panels(m, workers);
-        let mut total = TermCount::default();
-        if panels.len() <= 1 {
-            let range = 0..m;
-            total += kernel(range, d.as_mut_slice());
-            return Ok((d, total));
-        }
-        let mut slabs: Vec<(Range<usize>, &mut [f32])> = Vec::with_capacity(panels.len());
-        let mut rest = d.as_mut_slice();
-        for range in panels {
-            let (head, tail) = rest.split_at_mut((range.end - range.start) * n);
-            slabs.push((range, head));
-            rest = tail;
-        }
-        let kernel = &kernel;
-        let joined: Vec<Result<TermCount, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slabs
-                .into_iter()
-                .map(|(range, slab)| scope.spawn(move || kernel(range, slab)))
-                .collect();
-            // Join every worker (draining the pool even past a panic)
-            // before reporting, so a contained panic never leaks threads.
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|payload| panic_payload_message(payload.as_ref()))
-                })
-                .collect()
-        });
-        for (panel, outcome) in joined.into_iter().enumerate() {
-            match outcome {
-                Ok(count) => total += count,
-                Err(payload) => return Err(BackendError::WorkerPanic { panel, payload }),
-            }
-        }
-        Ok((d, total))
-    }
-
-    /// Dense scalar rows: the reference triple loop restricted to a row
-    /// range, with optional fp16 load quantisation.
-    fn dense_rows(
-        &self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Matrix,
-        c: &Matrix,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a.cols());
-        for (local, i) in rows.enumerate() {
-            let arow = a.row(i);
-            let orow = &mut out[local * n..(local + 1) * n];
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut acc = op.reduce_identity_f32();
-                for (l, &av) in arow.iter().enumerate().take(k) {
-                    acc = op.fma_f32(acc, self.load(av), self.load(b[(l, j)]));
-                }
-                *slot = op.reduce_f32(c[(i, j)], acc);
-            }
-        }
-        TermCount {
-            fma_terms: (n * k) as u64,
-            skipped_terms: 0,
-        }
-    }
-
-    /// CSR `A` × dense `B` rows (Gustavson outer loop over the stored
-    /// entries of each `A` row, inner dense sweep over `B`'s columns).
-    /// Per-`(i,j)` terms arrive in ascending-`k` order, so the fold is
-    /// bit-identical to [`Self::dense_rows`] modulo skipped-annihilator
-    /// terms, which are exact no-ops (max-mul corrected at row end).
-    fn csr_dense_rows(
-        &self,
-        op: OpKind,
-        a: &Csr,
-        b: &Matrix,
-        c: &Matrix,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a.cols());
-        let mut count = TermCount::default();
-        for (local, i) in rows.enumerate() {
-            let orow = &mut out[local * n..(local + 1) * n];
-            let nnz = a.row_entries(i).count();
-            count.fma_terms += (nnz * n) as u64;
-            count.skipped_terms += ((k - nnz) * n) as u64;
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut acc = op.reduce_identity_f32();
-                for (l, av) in a.row_entries(i) {
-                    acc = op.fma_f32(acc, self.load(av), self.load(b[(l, j)]));
-                }
-                if op == OpKind::MaxMul && nnz < k {
-                    // Skipped 0·b products still fold a 0.0 into a
-                    // max-reduce; one fold reproduces them all exactly.
-                    acc = op.reduce_f32(acc, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], acc);
-            }
-        }
-        count
-    }
-
-    /// Dense `A` × CSR `B` rows: the IKJ loop, scattering each stored
-    /// `B(k, j)` into a per-row accumulator. Iterating `k` ascending in
-    /// the outer loop keeps every `(i,j)` fold in ascending-`k` order.
-    /// `col_nnz` holds per-column stored-entry counts of `B` (shared by
-    /// all workers) for the max-mul end correction.
-    #[allow(clippy::too_many_arguments)]
-    fn dense_csr_rows(
-        &self,
-        op: OpKind,
-        a: &Matrix,
-        b: &Csr,
-        c: &Matrix,
-        col_nnz: &[usize],
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a.cols());
-        let mut count = TermCount::default();
-        let mut acc = vec![op.reduce_identity_f32(); n];
-        for (local, i) in rows.enumerate() {
-            acc.fill(op.reduce_identity_f32());
-            let arow = a.row(i);
-            for (l, &av) in arow.iter().enumerate().take(k) {
-                let av = self.load(av);
-                for (j, bv) in b.row_entries(l) {
-                    acc[j] = op.fma_f32(acc[j], av, self.load(bv));
-                    count.fma_terms += 1;
-                }
-            }
-            let orow = &mut out[local * n..(local + 1) * n];
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut v = acc[j];
-                count.skipped_terms += (k - col_nnz[j]) as u64;
-                if op == OpKind::MaxMul && col_nnz[j] < k {
-                    v = op.reduce_f32(v, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], v);
-            }
-        }
-        count
-    }
-
-    /// CSR `A` × CSR `B` rows: Gustavson's algorithm with a dense SPA
-    /// accumulator per output row plus a contribution counter per
-    /// column (for the max-mul end correction). The outer walk over
-    /// `A`'s stored `k` is ascending, so each `(i,j)` fold matches the
-    /// dense order over the surviving terms.
-    #[allow(clippy::too_many_arguments)]
-    fn csr_csr_rows(
-        &self,
-        op: OpKind,
-        a: &Csr,
-        b: &Csr,
-        c: &Matrix,
-        k_dim: usize,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let n = b.cols();
-        let mut count = TermCount::default();
-        let mut acc = vec![op.reduce_identity_f32(); n];
-        let mut contributions = vec![0usize; n];
-        for (local, i) in rows.enumerate() {
-            acc.fill(op.reduce_identity_f32());
-            contributions.fill(0);
-            for (l, av) in a.row_entries(i) {
-                let av = self.load(av);
-                for (j, bv) in b.row_entries(l) {
-                    acc[j] = op.fma_f32(acc[j], av, self.load(bv));
-                    contributions[j] += 1;
-                    count.fma_terms += 1;
-                }
-            }
-            let orow = &mut out[local * n..(local + 1) * n];
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut v = acc[j];
-                count.skipped_terms += (k_dim - contributions[j]) as u64;
-                if op == OpKind::MaxMul && contributions[j] < k_dim {
-                    v = op.reduce_f32(v, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], v);
-            }
-        }
-        count
-    }
-
-    /// 2:4-structured `A` × dense `B` rows: the compressed operand is
-    /// walked slot by slot ([`Compressed24::row_slots`], ascending `k`),
-    /// which is exactly how the sparse tensor pipe skips pruned lanes.
-    fn structured_rows(
-        &self,
-        op: OpKind,
-        a24: &Compressed24,
-        b: &Matrix,
-        c: &Matrix,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> TermCount {
-        let (n, k) = (b.cols(), a24.cols());
-        let mut count = TermCount::default();
-        for (local, i) in rows.enumerate() {
-            let orow = &mut out[local * n..(local + 1) * n];
-            let nnz = a24.row_slots(i).count();
-            count.fma_terms += (nnz * n) as u64;
-            count.skipped_terms += ((k - nnz) * n) as u64;
-            for (j, slot) in orow.iter_mut().enumerate() {
-                let mut acc = op.reduce_identity_f32();
-                for (l, av) in a24.row_slots(i) {
-                    acc = op.fma_f32(acc, self.load(av), self.load(b[(l, j)]));
-                }
-                if op == OpKind::MaxMul && nnz < k {
-                    acc = op.reduce_f32(acc, 0.0);
-                }
-                *slot = op.reduce_f32(c[(i, j)], acc);
-            }
-        }
-        count
-    }
-
     /// Shape-checked, repr-validated execution core shared by the trait
-    /// entry points. `workers` is already resolved.
+    /// entry points: builds one row view per operand and runs the row
+    /// kernel over `workers` panels.
     fn execute(
         &mut self,
         op: OpKind,
@@ -499,59 +438,26 @@ impl SparseTiledBackend {
         c: MatrixRef<'_>,
         workers: usize,
     ) -> Result<Matrix, BackendError> {
-        let (m, n) = (a.matrix.rows(), b.matrix.cols());
-        let k = a.matrix.cols();
-        let sparse_step = !(a.repr.is_dense() && b.repr.is_dense());
-        let (d, terms) = match (a.repr, b.repr) {
-            (OperandRepr::Structured24 { .. }, _) => {
-                let zero = a.repr.zero().expect("structured repr carries a sentinel");
-                let a24 = Compressed24::compress(a.matrix, zero)
-                    .expect("validated 2:4-compliant operand");
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.structured_rows(op, &a24, b.matrix, c.matrix, rows, out)
-                })?
-            }
-            (OperandRepr::Csr { .. }, OperandRepr::Csr { .. })
-            | (OperandRepr::Csr { .. }, OperandRepr::Structured24 { .. }) => {
-                let az = a.repr.zero().expect("csr repr carries a sentinel");
-                let bz = b.repr.zero().expect("sparse repr carries a sentinel");
-                let acsr = Csr::from_dense(a.matrix, az).expect("validated non-NaN sentinel");
-                let bcsr = Csr::from_dense(b.matrix, bz).expect("validated non-NaN sentinel");
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.csr_csr_rows(op, &acsr, &bcsr, c.matrix, k, rows, out)
-                })?
-            }
-            (OperandRepr::Csr { .. }, OperandRepr::Dense) => {
-                let az = a.repr.zero().expect("csr repr carries a sentinel");
-                let acsr = Csr::from_dense(a.matrix, az).expect("validated non-NaN sentinel");
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.csr_dense_rows(op, &acsr, b.matrix, c.matrix, rows, out)
-                })?
-            }
-            (OperandRepr::Dense, OperandRepr::Csr { .. })
-            | (OperandRepr::Dense, OperandRepr::Structured24 { .. }) => {
-                let bz = b.repr.zero().expect("sparse repr carries a sentinel");
-                let bcsr = Csr::from_dense(b.matrix, bz).expect("validated non-NaN sentinel");
-                let mut col_nnz = vec![0usize; n];
-                for l in 0..k {
-                    for (j, _) in bcsr.row_entries(l) {
-                        col_nnz[j] += 1;
-                    }
-                }
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.dense_csr_rows(op, a.matrix, &bcsr, c.matrix, &col_nnz, rows, out)
-                })?
-            }
-            (OperandRepr::Dense, OperandRepr::Dense) => {
-                self.run_panels(m, n, workers, |rows, out| {
-                    self.dense_rows(op, a.matrix, b.matrix, c.matrix, rows, out)
-                })?
-            }
+        let (m, n, k) = (a.matrix.rows(), b.matrix.cols(), a.matrix.cols());
+        let a_view = if a.repr.is_dense() {
+            RowView::dense(a.matrix, self.reduced)
+        } else {
+            RowView::stored(a, self.reduced)
         };
+        // A 2:4 `A` walks `B` dense; any other sparse `B` (2:4 included)
+        // is walked by its stored entries, as CSR.
+        let b_view = if b.repr.is_dense() || matches!(a.repr, OperandRepr::Structured24 { .. }) {
+            RowView::dense(b.matrix, self.reduced)
+        } else {
+            RowView::stored(b, self.reduced)
+        };
+        let (d, terms) = run_panels(m, n, workers, |rows, out| {
+            gustavson_rows(op, &a_view, &b_view, c.matrix, k, rows, out)
+        })?;
         self.count.matrix_mmos += 1;
         self.count.fma_terms += terms.fma_terms;
         self.count.skipped_terms += terms.skipped_terms;
-        if sparse_step {
+        if !(a.repr.is_dense() && b.repr.is_dense()) {
             self.count.sparse_mmos += 1;
         }
         Ok(d)
@@ -884,6 +790,60 @@ mod tests {
         assert_eq!(count.fma_terms + count.skipped_terms, 6 * 4 * 10);
         let nnz = a.as_slice().iter().filter(|&&x| x != 0.0).count() as u64;
         assert_eq!(count.fma_terms, nnz * 4);
+    }
+
+    #[test]
+    fn term_accounting_tiles_the_dense_term_space_for_every_route() {
+        // Folded + skipped terms tile the dense m·n·k space, and the
+        // folded count equals the terms the routed walk visits, for
+        // every declaration pair at every worker count.
+        let (m, k, n) = (13, 12, 9);
+        let op = OpKind::MinPlus;
+        let zero = op.no_edge_f32().unwrap();
+        let a = prune_2_4(&sparse_operand(m, k, zero, 0.4, 21), op);
+        let b = prune_2_4(&sparse_operand(k, n, zero, 0.4, 22), op);
+        let c = Matrix::filled(m, n, zero);
+        let stored = |x: f32| x != zero;
+        let row_nnz = |mat: &Matrix, r: usize| mat.row(r).iter().filter(|&&x| stored(x)).count();
+        let reprs = [
+            OperandRepr::Dense,
+            OperandRepr::csr(zero),
+            OperandRepr::structured(zero),
+        ];
+        for ra in reprs {
+            for rb in reprs {
+                // A 2:4 `A` walks `B` dense; a sparse `B` is walked as CSR.
+                let b_sparse = !rb.is_dense() && !matches!(ra, OperandRepr::Structured24 { .. });
+                let mut want = 0u64;
+                for i in 0..m {
+                    for l in 0..k {
+                        if !ra.is_dense() && !stored(a[(i, l)]) {
+                            continue;
+                        }
+                        want += if b_sparse { row_nnz(&b, l) } else { n } as u64;
+                    }
+                }
+                for workers in [1, 2, 4] {
+                    let mut be =
+                        SparseTiledBackend::new().with_parallelism(Parallelism::Threads(workers));
+                    be.mmo_ref(
+                        op,
+                        MatrixRef::new(&a, ra),
+                        MatrixRef::new(&b, rb),
+                        MatrixRef::dense(&c),
+                    )
+                    .unwrap();
+                    let count = be.sparse_count();
+                    let what = format!("{}×{} workers={workers}", ra.name(), rb.name());
+                    assert_eq!(
+                        count.fma_terms + count.skipped_terms,
+                        (m * n * k) as u64,
+                        "{what}"
+                    );
+                    assert_eq!(count.fma_terms, want, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   accelerator would run, cf. §6.5),
 //! * [`structured`] — 2:4 structured-sparsity pruning/validation,
 //! * [`backend`] — [`SparseTiledBackend`], a representation-aware
-//!   implementation of the core [`simd2::Backend`] trait: dense scalar
-//!   execution bit-identical to the reference oracle, Gustavson CSR
-//!   kernels and a 2:4 compressed fast path behind
-//!   [`simd2::Backend::mmo_ref`], and row-panel sharding across a
-//!   scoped worker pool,
+//!   implementation of the core [`simd2::Backend`] trait: one
+//!   Gustavson row kernel over dense, CSR and 2:4 row views (chosen by
+//!   the declarations behind [`simd2::Backend::mmo_ref`]), bit-identical
+//!   to the reference oracle, with operands quantized once in reduced
+//!   precision and row-panel sharding across a scoped worker pool,
 //! * [`model`] — calibrated cuSPARSE-vs-cuBLAS timing and peak-memory
 //!   models for the Fig 14 sweep,
 //! * [`gamma`] — the §6.5 GAMMA-PE extension estimate.

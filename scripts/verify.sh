@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: format, build, test, lint. Run from the repo root.
+# The root manifest's `default-members` lists every workspace crate, so
+# each command below covers the whole workspace, not just the umbrella.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
